@@ -4,21 +4,21 @@
 // closure-compiled engine, each over 50,000 traffic-generator PHVs driven
 // through the streaming simulation engine. A dRMT section follows (the
 // paper reports no dRMT numbers, so it is a characterization bench): every
-// embedded dRMT benchmark's differential fuzzing loop is timed on both the
-// slot-compiled streaming engines and the map-based compatibility engines.
+// embedded dRMT benchmark's differential fuzzing loop is timed on the
+// slot-compiled streaming engines campaigns run on, and on the map-based
+// reference interpreters they are differentially tested against.
 //
-// A PHV-batch row rides along with each section: the RMT matrix gains a
-// "compiled+batch" level (the struct-of-arrays sim.Batch engine over the
-// compiled pipeline) and the dRMT section a "slots+batch" engine (the
-// differential fuzzer on column-major planes), so BENCH_table1.json records
-// the batched engines' trajectory next to the streaming ones.
+// A PHV-batch row rides along with the RMT matrix: a "compiled+batch" level
+// (the struct-of-arrays sim.Batch engine over the compiled pipeline), so
+// BENCH_table1.json records the batched engine's trajectory next to the
+// streaming ones.
 //
 // Usage:
 //
 //	dbench                           # full table, 50000 PHVs per cell
 //	dbench -phvs 5000                # quicker pass
 //	dbench -program rcp,blue-burst   # restrict the RMT rows
-//	dbench -batch 256                # PHV-batch size for the batch rows
+//	dbench -batch 256                # PHV-batch size for the compiled+batch rows
 //	dbench -drmt-phvs 0              # skip the dRMT section
 //	dbench -drmt-bench l2l3          # filter the dRMT section
 //	dbench -json BENCH_table1.json   # machine-readable perf trajectory
@@ -151,7 +151,7 @@ func main() {
 	program := fs.String("program", "", "comma-separated programs to run (default: all twelve)")
 	seed := fs.Int64("seed", 1, "traffic generator seed")
 	repeats := fs.Int("repeats", 1, "repetitions per cell (minimum time reported)")
-	batch := fs.Int("batch", 64, "PHV-batch size for the compiled+batch and slots+batch rows (0 = skip them)")
+	batch := fs.Int("batch", 64, "PHV-batch size for the compiled+batch rows (0 = skip them)")
 	drmtPHVs := fs.Int("drmt-phvs", 50000, "packets per dRMT differential-fuzz cell (0 = skip the dRMT section)")
 	drmtBench := fs.String("drmt-bench", "", "restrict the dRMT section to benchmarks containing this substring")
 	jsonPath := fs.String("json", "", "also write the report as JSON to this file (- for stdout)")
@@ -244,29 +244,20 @@ func main() {
 			cli.Fatalf("dbench: no dRMT benchmark matches %q", *drmtBench)
 		}
 		fmt.Printf("\ndRMT differential fuzzing (ISA machine vs table-level spec, %d packets per run)\n\n", *drmtPHVs)
-		fmt.Printf("%-16s %14s %14s %14s %16s %16s\n", "Program", "Map engine", "Slot engine", "Batch engine", "Batch PHVs/sec", "Batch allocs/PHV")
-		engines := []string{"map", "slots"}
-		if *batch > 0 {
-			engines = append(engines, "slots+batch")
-		}
+		fmt.Printf("%-16s %14s %14s %16s %16s\n", "Program", "Map engine", "Slot engine", "Slot PHVs/sec", "Slot allocs/PHV")
 		for _, bm := range benches {
-			perEngine := make(map[string]DRMTRow, len(engines))
-			for _, engine := range engines {
-				row, err := measureDRMT(bm, engine, *seed, *drmtPHVs, *repeats, *batch)
+			perEngine := make(map[string]DRMTRow, 2)
+			for _, engine := range []string{"map", "slots"} {
+				row, err := measureDRMT(bm, engine, *seed, *drmtPHVs, *repeats)
 				if err != nil {
 					cli.Fatalf("dbench: drmt %s/%s: %v", bm.Name, engine, err)
 				}
 				perEngine[engine] = row
 				drmtRows = append(drmtRows, row)
 			}
-			batchCell, phvsCell, allocsCell := "-", "-", "-"
-			if br, ok := perEngine["slots+batch"]; ok {
-				batchCell = fmt.Sprintf("%d ms", br.MS)
-				phvsCell = fmt.Sprintf("%.0f", br.PHVsPerSec)
-				allocsCell = fmt.Sprintf("%.4f", br.AllocsPerPHV)
-			}
-			fmt.Printf("%-16s %11d ms %11d ms %14s %16s %16s\n",
-				bm.Name, perEngine["map"].MS, perEngine["slots"].MS, batchCell, phvsCell, allocsCell)
+			slots := perEngine["slots"]
+			fmt.Printf("%-16s %11d ms %11d ms %16.0f %16.4f\n",
+				bm.Name, perEngine["map"].MS, slots.MS, slots.PHVsPerSec, slots.AllocsPerPHV)
 		}
 	}
 
@@ -299,7 +290,7 @@ func main() {
 		}
 		if len(drmtRows) > 0 {
 			rep.DRMTPHVs = *drmtPHVs
-			rep.DRMTEngine = "differential fuzz, slot-compiled streaming engines (drmt.DiffFuzzer.Fuzz) vs map-based compat (FuzzCompat); slots+batch rows on column-major planes"
+			rep.DRMTEngine = "differential fuzz on the slot-compiled streaming engines (drmt.DiffFuzzer.Fuzz); map rows on the map-based reference interpreters (FuzzCompat)"
 			rep.DRMT = drmtRows
 		}
 		rep.Geomeans = geomeans(rows, drmtRows)
@@ -451,10 +442,10 @@ func measureBatch(pipeline *core.Pipeline, bm *spec.Benchmark, seed int64, n, re
 }
 
 // measureDRMT times one dRMT benchmark's differential fuzzing loop on one
-// engine ("slots", "slots+batch" or "map"), repeated repeats times after
+// engine ("slots" or the "map" reference), repeated repeats times after
 // one warmup pass; the best pass's wall time and its heap allocation count
 // are reported.
-func measureDRMT(bm *drmt.Benchmark, engine string, seed int64, n, repeats, batch int) (DRMTRow, error) {
+func measureDRMT(bm *drmt.Benchmark, engine string, seed int64, n, repeats int) (DRMTRow, error) {
 	prog, err := bm.Program()
 	if err != nil {
 		return DRMTRow{}, err
@@ -467,20 +458,20 @@ func measureDRMT(bm *drmt.Benchmark, engine string, seed int64, n, repeats, batc
 	if err != nil {
 		return DRMTRow{}, err
 	}
-	if engine == "slots+batch" {
-		f.SetBatch(batch)
+	fuzz := f.Fuzz
+	if engine == "map" {
+		fuzz = f.FuzzCompat
 	}
 	pass := func() (time.Duration, float64, error) {
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		start := time.Now()
-		var rep *drmt.DiffReport
-		if engine == "map" {
-			rep, err = f.FuzzSeededCompat(seed, n, bm.MaxInput)
-		} else {
-			rep, err = f.FuzzSeeded(seed, n, bm.MaxInput) // batched when SetBatch is active
+		gen, err := drmt.NewTrafficGen(seed, prog, bm.MaxInput)
+		if err != nil {
+			return 0, 0, err
 		}
+		rep, err := fuzz(gen, n)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -90,14 +90,16 @@ func BenchmarkDRMTDiffFuzz(b *testing.B) {
 			engine := engine
 			b.Run(name+"/"+engine, func(b *testing.B) {
 				b.ReportAllocs()
+				fuzz := f.Fuzz
+				if engine == "compat" {
+					fuzz = f.FuzzCompat
+				}
 				for i := 0; i < b.N; i++ {
-					var rep *drmt.DiffReport
-					var err error
-					if engine == "slots" {
-						rep, err = f.FuzzSeeded(1, packets, bm.MaxInput)
-					} else {
-						rep, err = f.FuzzSeededCompat(1, packets, bm.MaxInput)
+					gen, err := drmt.NewTrafficGen(1, prog, bm.MaxInput)
+					if err != nil {
+						b.Fatal(err)
 					}
+					rep, err := fuzz(gen, packets)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -85,8 +85,9 @@ type Options struct {
 	ShardSize int
 
 	// BatchSize selects the PHV-batch execution strategy on runners that
-	// support it (BatchSizer): packets execute size at a time on
-	// struct-of-arrays planes instead of one at a time. 0 means streaming.
+	// support it (BatchSizer): optimized RMT pipelines execute packets
+	// size at a time on struct-of-arrays planes instead of one at a time;
+	// dRMT and unoptimized RMT always stream. 0 means streaming.
 	// Batching is purely an execution strategy — unlike ShardSize it is not
 	// part of the campaign's identity: reports, fingerprints and shard-cache
 	// keys are byte-identical for every value of BatchSize.

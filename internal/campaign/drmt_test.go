@@ -48,39 +48,6 @@ func TestDRMTReportDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDRMTReportIdenticalSlotVsCompat is the campaign-level compat-layer
-// guarantee: the slot-compiled streaming engines and the map-based
-// compatibility engines must produce byte-identical campaign reports, at
-// every worker count.
-func TestDRMTReportIdenticalSlotVsCompat(t *testing.T) {
-	render := func(compat bool, workers int) string {
-		t.Helper()
-		jobs := drmtJobs(t, 1500, 1, 9)
-		for i := range jobs {
-			jobs[i].Target.(*DRMTTarget).Compat = compat
-		}
-		rep, err := Run(context.Background(), jobs, Options{Workers: workers, ShardSize: 256})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf, false); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String() + "\n---\n" + rep.Text(false)
-	}
-	want := render(false, 1)
-	for _, workers := range []int{1, 4, 8} {
-		if got := render(true, workers); got != want {
-			t.Fatalf("compat engine report (workers=%d) differs from slot engine report:\n--- slot ---\n%s--- compat ---\n%s",
-				workers, want, got)
-		}
-		if got := render(false, workers); got != want {
-			t.Fatalf("slot engine report not deterministic across workers=%d", workers)
-		}
-	}
-}
-
 // TestDRMTCampaignPasses: every registered dRMT benchmark must fuzz clean
 // through the campaign engine, with arch-labeled report rows.
 func TestDRMTCampaignPasses(t *testing.T) {
@@ -102,6 +69,24 @@ func TestDRMTCampaignPasses(t *testing.T) {
 		if j.Checked != j.Packets || j.Ticks == 0 {
 			t.Fatalf("job %s: %+v", j.Name, j)
 		}
+	}
+}
+
+// TestDRMTCampaignUndersizedISAErrors: an injected ISA program whose
+// register file cannot hold the drop flag is a build failure, reported as
+// an errored row rather than a crashed campaign.
+func TestDRMTCampaignUndersizedISAErrors(t *testing.T) {
+	jobs := drmtJobs(t, 256, 1)[:1]
+	jobs[0].Target.(*DRMTTarget).ISA = &drmt.ISAProgram{
+		Instrs:  []drmt.Instr{{Op: drmt.OpDrop}, {Op: drmt.OpHalt}},
+		NumRegs: 1,
+	}
+	rep, err := Run(context.Background(), jobs, Options{Workers: 2, ShardSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j := rep.Jobs[0]; j.Status != StatusError || j.Error == "" {
+		t.Fatalf("undersized ISA did not yield an errored row: %+v", j)
 	}
 }
 

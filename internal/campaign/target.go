@@ -70,11 +70,13 @@ type ShardSizer interface {
 }
 
 // BatchSizer is an optional Runner interface for targets whose execution
-// machinery supports the PHV-batch (struct-of-arrays) mode. The engine
-// calls SetBatchSize once per runner with Options.BatchSize before any
-// shard executes on it. Implementations must keep shard results
-// byte-identical across every batch size, including 0 (streaming) —
-// batching is an execution strategy, never part of a campaign's identity.
+// machinery supports the PHV-batch (struct-of-arrays) mode: only RMT
+// runners implement it, and batching applies to optimized pipelines;
+// dRMT and unoptimized RMT runners always stream. The engine calls
+// SetBatchSize once per runner with Options.BatchSize before any shard
+// executes on it. Implementations must keep shard results byte-identical
+// across every batch size, including 0 (streaming) — batching is an
+// execution strategy, never part of a campaign's identity.
 type BatchSizer interface {
 	SetBatchSize(n int)
 }

@@ -11,8 +11,8 @@
 // vectors (TrafficGen.Fill), and packets are compared index-to-index in
 // lock step. Canonical string renderings and Diff records are materialized
 // only on mismatch, so a clean shard performs O(1) allocation total. The
-// original map-based loop is kept as FuzzCompat, the compatibility path the
-// slot engines are differentially tested against.
+// original map-based loop is kept as FuzzCompat, the reference the slot
+// engines are differentially tested against; campaigns never run on it.
 package drmt
 
 import (
@@ -63,13 +63,6 @@ type DiffFuzzer struct {
 	// Reused slot vectors: the generated packet and the two machines'
 	// working copies. One backing array, three windows.
 	in, got, want []int64
-
-	// Batched mode (SetBatch): column-major slot planes and per-packet flag
-	// vectors, allocated lazily on the first batched run.
-	batchSize           int       // 0 = streaming
-	inP, gotP, wantP    [][]int64 // planes[slot][packet]
-	gotDrops, wantDrops []bool
-	dirty               []bool // per-packet divergence marks, reused
 }
 
 // NewDiffFuzzer builds a differential fuzzer for the program over the given
@@ -138,10 +131,6 @@ func (f *DiffFuzzer) Fuzz(gen *TrafficGen, n int) (*DiffReport, error) {
 	}
 	if gen.NumFields() != f.layout.NumFields() {
 		return nil, fmt.Errorf("drmt: traffic generator has %d fields, program has %d", gen.NumFields(), f.layout.NumFields())
-	}
-	if f.batchSize > 0 {
-		// Batched mode produces byte-identical reports on the plane engines.
-		return f.fuzzBatched(gen, n)
 	}
 	f.Reset()
 	rep := &DiffReport{}
@@ -227,21 +216,6 @@ func (f *DiffFuzzer) FuzzSeededMode(seed int64, n int, max int64, mode TrafficMo
 		return nil, err
 	}
 	return f.Fuzz(gen, n)
-}
-
-// FuzzSeededCompat is FuzzCompat over a fresh generator, the map-based twin
-// of FuzzSeeded.
-func (f *DiffFuzzer) FuzzSeededCompat(seed int64, n int, max int64) (*DiffReport, error) {
-	return f.FuzzSeededModeCompat(seed, n, max, TrafficUniform)
-}
-
-// FuzzSeededModeCompat is FuzzSeededMode on the map-based compat engines.
-func (f *DiffFuzzer) FuzzSeededModeCompat(seed int64, n int, max int64, mode TrafficMode) (*DiffReport, error) {
-	gen, err := NewTrafficGenMode(seed, f.prog, max, mode)
-	if err != nil {
-		return nil, err
-	}
-	return f.FuzzCompat(gen, n)
 }
 
 // MiscompileALUAdd returns a copy of the program with its first ALU add

@@ -142,9 +142,17 @@ type ISAProgram struct {
 }
 
 // Verify checks the ISA's hardware invariants: every register index is in
-// range and every control transfer is strictly forward (the feedforward
-// property the RMT pipeline has by construction).
+// range, including the reserved and parameter registers that OpDrop and
+// OpMatch write implicitly, every table has a dispatch list, and every
+// control transfer is strictly forward (the feedforward property the RMT
+// pipeline has by construction).
 func (p *ISAProgram) Verify() error {
+	if p.NumParams < 0 || p.NumRegs < RegParam0+p.NumParams {
+		return fmt.Errorf("drmt isa: %d registers cannot hold %d reserved and %d parameter registers", p.NumRegs, RegParam0, p.NumParams)
+	}
+	if len(p.Dispatch) != len(p.Tables) {
+		return fmt.Errorf("drmt isa: %d dispatch lists for %d tables", len(p.Dispatch), len(p.Tables))
+	}
 	for pc, in := range p.Instrs {
 		bad := func(format string, args ...any) error {
 			return fmt.Errorf("drmt isa: instr %d (%s): %s", pc, in.Op, fmt.Sprintf(format, args...))
@@ -657,14 +665,25 @@ func newISAMachine(prog *p4.Program, isa *ISAProgram, entries *EntrySet, hw HWCo
 			m.aluW[i] = w
 		}
 	}
-	m.matchTables = m.compileMatchTables()
+	if m.matchTables, err = m.compileMatchTables(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
 // compileMatchTables resolves every OpMatch target's entries and default
 // against the dispatch lists once, so the hot path's match is a slot scan
-// with no map lookups and no allocation.
-func (m *ISAMachine) compileMatchTables() []isaTable {
+// with no map lookups and no allocation. An entry or default passing more
+// arguments than the program has parameter registers is an error: OpMatch
+// would write past them.
+func (m *ISAMachine) compileMatchTables() ([]isaTable, error) {
+	checkArgs := func(table string, call *p4.ActionCall) error {
+		if len(call.Args) > m.isa.NumParams {
+			return fmt.Errorf("drmt isa: table %q action %q passes %d argument(s), program has %d parameter register(s)",
+				table, call.Name, len(call.Args), m.isa.NumParams)
+		}
+		return nil
+	}
 	dispatchIdx := func(tableSym int, action string) int64 {
 		for i, name := range m.isa.Dispatch[tableSym] {
 			if name == action {
@@ -685,6 +704,9 @@ func (m *ISAMachine) compileMatchTables() []isaTable {
 			continue
 		}
 		for _, e := range m.entries.ForTable(name) {
+			if err := checkArgs(name, &e.Action); err != nil {
+				return nil, err
+			}
 			fs, ok := m.layout.fieldIdx[e.Field]
 			if !ok {
 				continue // a non-program field never matches a slot packet
@@ -704,13 +726,16 @@ func (m *ISAMachine) compileMatchTables() []isaTable {
 			mt.entries = append(mt.entries, ie)
 		}
 		if t.Default != nil {
+			if err := checkArgs(name, t.Default); err != nil {
+				return nil, err
+			}
 			mt.hasDef = true
 			mt.defSel = dispatchIdx(ti, t.Default.Name)
 			mt.defArgs = t.Default.Args
 			mt.defName = t.Default.Name
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Program returns the ISA program under execution.

@@ -88,6 +88,33 @@ func TestVerifyRejectsJumpPastEnd(t *testing.T) {
 	t.Skip("no unconditional jump in program")
 }
 
+// TestNewISAMachineRejectsImplicitRegisterOverflow: OpDrop writes RegDrop
+// and OpMatch writes RegSel and the parameter registers without naming
+// them, so a program whose register file, dispatch lists or parameter
+// count cannot hold those writes must fail construction instead of
+// panicking on the first packet.
+func TestNewISAMachineRejectsImplicitRegisterOverflow(t *testing.T) {
+	prog, entries, isa := assembleL2L3(t)
+	noDispatch := *isa
+	noDispatch.Dispatch = isa.Dispatch[:len(isa.Dispatch)-1]
+	noParams := *isa
+	noParams.NumParams = 0 // l2l3's entries pass action arguments
+	for _, c := range []struct {
+		name string
+		isa  *ISAProgram
+	}{
+		{"drop into a one-register file", &ISAProgram{Instrs: []Instr{{Op: OpDrop}, {Op: OpHalt}}, NumRegs: 1}},
+		{"table without dispatch list", &noDispatch},
+		{"arguments past NumParams", &noParams},
+	} {
+		f, err := NewDiffFuzzer(prog, c.isa, entries, HWConfig{Processors: 4})
+		if err == nil {
+			_, _ = f.FuzzSeeded(1, 16, 0) // an unchecked program panics here
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
 // TestISADifferentialL2L3 is the headline test: the table-level machine
 // and the ISA-level machine must agree packet for packet — every field,
 // the drop flag and every register cell — over random traffic through the

@@ -55,6 +55,15 @@ func TestFillMatchesNext(t *testing.T) {
 	}
 }
 
+// fuzzSeededCompat is FuzzSeeded on the map-based reference interpreters.
+func fuzzSeededCompat(f *DiffFuzzer, seed int64, n int, max int64) (*DiffReport, error) {
+	gen, err := NewTrafficGen(seed, f.Program(), max)
+	if err != nil {
+		return nil, err
+	}
+	return f.FuzzCompat(gen, n)
+}
+
 // TestDiffFuzzerSlotVsCompatByteIdentical is the differential test for the
 // slot-compiled engines: over every embedded benchmark and several seeds,
 // the streaming Fuzz and the map-based FuzzCompat must produce
@@ -80,7 +89,7 @@ func TestDiffFuzzerSlotVsCompatByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				compat, err := f.FuzzSeededCompat(seed, 800, max)
+				compat, err := fuzzSeededCompat(f, seed, 800, max)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,7 +127,7 @@ func TestDiffFuzzerSlotVsCompatOnMiscompile(t *testing.T) {
 	if len(slot.Diffs) == 0 {
 		t.Fatal("miscompiled program produced no diffs on the slot path")
 	}
-	compat, err := f.FuzzSeededCompat(7, 3000, 0)
+	compat, err := fuzzSeededCompat(f, 7, 3000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +162,7 @@ func TestDiffFuzzerSlotVsCompatOnExecError(t *testing.T) {
 	if slot.Err == nil || !strings.Contains(slot.Err.Error(), "outside its dispatch list") {
 		t.Fatalf("slot path missed the dispatch error: %v", slot.Err)
 	}
-	compat, err := f.FuzzSeededCompat(3, 50, 0)
+	compat, err := fuzzSeededCompat(f, 3, 50, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,9 +76,10 @@ type MatrixRequest struct {
 	// campaign's traffic identity and therefore of every cache key.
 	ShardSize int `json:"shard_size,omitempty"`
 
-	// Batch selects the PHV-batch execution strategy: shards execute
-	// Batch packets at a time on struct-of-arrays planes (0 = the
-	// server's default, typically streaming). Unlike ShardSize it is an
+	// Batch selects the PHV-batch execution strategy: optimized RMT
+	// pipelines execute shards Batch packets at a time on struct-of-arrays
+	// planes; dRMT and unoptimized RMT always stream (0 = the server's
+	// default, typically streaming). Unlike ShardSize it is an
 	// execution knob, not traffic identity: reports and cache keys are
 	// byte-identical for every value.
 	Batch int `json:"batch,omitempty"`

@@ -34,8 +34,9 @@ type Config struct {
 	Workers int
 
 	// BatchSize is the default PHV-batch size applied when a request does
-	// not set one (0 = streaming). An execution knob only: results and
-	// cache keys are byte-identical for every value.
+	// not set one (0 = streaming). It applies to optimized RMT pipelines;
+	// dRMT and unoptimized RMT always stream. An execution knob only:
+	// results and cache keys are byte-identical for every value.
 	BatchSize int
 
 	// MaxConcurrent bounds how many campaigns execute at once (0 = 2);
