@@ -40,7 +40,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The specification: the Domino program interpreted directly.
+	// The specification: the Domino program, compiled to closures.
 	prog, err := bench.DominoProgram()
 	if err != nil {
 		log.Fatal(err)

@@ -379,6 +379,13 @@ func runShardTimed(ctx context.Context, job *Job, ws *workerState, t task, deadl
 	defer timer.Stop()
 	select {
 	case res := <-done:
+		if res.Err != nil && errors.Is(shardCtx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {
+			// The deadline fired just before the timer: report the same
+			// deterministic timeout as the timer path. Only
+			// DeadlineExceeded counts, since the goroutine above cancels
+			// shardCtx after every shard.
+			return &ShardResult{Err: timeoutErr(budget)}, true
+		}
 		return res, true
 	case <-timer.C:
 		return &ShardResult{Err: timeoutErr(budget)}, false

@@ -109,3 +109,92 @@ func TestWrittenContainersUnboundField(t *testing.T) {
 		t.Fatal("unbound written field should error")
 	}
 }
+
+// TestPHVSpecAliasedFieldsLastNameWins: two fields bound to one container
+// write back in sorted-name order, so the last name wins on every fresh
+// spec, not a map-order-dependent one.
+func TestPHVSpecAliasedFieldsLastNameWins(t *testing.T) {
+	prog, err := Parse(`transaction { pkt.a = pkt.b + 1; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		spec, err := NewPHVSpec(prog, FieldMap{"a": 0, "b": 0}, phv.Default32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := []phv.Value{5}
+		if err := spec.ProcessStream(vals); err != nil {
+			t.Fatal(err)
+		}
+		if vals[0] != 5 {
+			t.Fatalf("spec %d: container 0 = %d, want 5 (field b, last in sorted order, wins)", i, vals[0])
+		}
+	}
+}
+
+// TestPHVSpecOutOfRangeNamesFirstSorted: with several bindings out of
+// range, the error names the first in sorted order.
+func TestPHVSpecOutOfRangeNamesFirstSorted(t *testing.T) {
+	prog, err := Parse(`transaction { pkt.a = pkt.b + 1; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `domino: field "a" bound to container 3, PHV has 2`
+	for i := 0; i < 200; i++ {
+		spec, err := NewPHVSpec(prog, FieldMap{"a": 3, "b": 4, "c": 5}, phv.Default32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := []phv.Value{7, 8}
+		if err := spec.ProcessStream(vals); err == nil || err.Error() != want {
+			t.Fatalf("spec %d: error %v, want %q", i, err, want)
+		}
+		if vals[0] != 7 || vals[1] != 8 {
+			t.Fatalf("spec %d: failed call wrote %v", i, vals)
+		}
+	}
+}
+
+// TestPHVSpecLocalReadBeforeAssignment: the compiled spec reports an
+// unassigned local with the interpreter's error and writes nothing back,
+// while state written before the failing read persists.
+func TestPHVSpecLocalReadBeforeAssignment(t *testing.T) {
+	prog, err := Parse(`
+state s = 0;
+
+transaction {
+    if (pkt.a == 1) {
+        int tmp = 5;
+    }
+    s = s + 1;
+    pkt.b = tmp;
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := NewPHVSpec(prog, FieldMap{"a": 0, "b": 1}, phv.Default32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := []phv.Value{0, 9}
+	if err := spec.ProcessStream(vals); err == nil || err.Error() != `domino: local "tmp" read before assignment` {
+		t.Fatalf("want read-before-assignment error, got %v", err)
+	}
+	if vals[0] != 0 || vals[1] != 9 {
+		t.Errorf("failed call wrote %v", vals)
+	}
+	if v, _ := spec.State("s"); v != 1 {
+		t.Errorf("s = %d, want 1", v)
+	}
+	// The assigned bit is per packet: the next packet takes the branch.
+	vals = []phv.Value{1, 9}
+	if err := spec.ProcessStream(vals); err != nil || vals[1] != 5 {
+		t.Fatalf("got %v, %v; want b = 5", vals, err)
+	}
+	// ... and the one after that must not see the previous packet's tmp.
+	if err := spec.ProcessStream([]phv.Value{0, 9}); err == nil {
+		t.Fatal("local assigned by an earlier packet leaked into this one")
+	}
+}

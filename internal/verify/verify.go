@@ -348,7 +348,7 @@ func (r *Result) replay(spec core.Spec, code *machinecode.Program, prog *domino.
 		sort.Strings(names)
 		for _, name := range names {
 			loc := bindings[name]
-			dv, ok := dspec.Machine().State(name)
+			dv, ok := dspec.State(name)
 			if !ok {
 				return fmt.Errorf("verify: replay: Domino has no state %q", name)
 			}
@@ -756,7 +756,7 @@ func (e *symALU) evalHoleCall(x *aludsl.HoleCall) bv.Vec {
 // --- Symbolic Domino ------------------------------------------------------------
 
 // symDomino executes a Domino program symbolically, threading state between
-// transactions exactly as domino.Machine does between packets.
+// transactions exactly as domino.PHVSpec does between packets.
 type symDomino struct {
 	b     *bv.Builder
 	bits  int

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"druzhba/internal/core"
+	"druzhba/internal/domino"
 	"druzhba/internal/drmt"
 	"druzhba/internal/obs"
 	"druzhba/internal/phv"
@@ -126,6 +127,16 @@ var runners = map[string]func(t *testing.T) float64{
 			}
 		})
 	},
+	"internal/domino.PHVSpec.ProcessStream": func(t *testing.T) float64 {
+		sp, gen, buf := benchDomino(t)
+		gen.Fill(buf)
+		return testing.AllocsPerRun(100, func() {
+			gen.Fill(buf)
+			if err := sp.ProcessStream(buf); err != nil {
+				panic(err)
+			}
+		})
+	},
 	"internal/drmt.TrafficGen.Fill": func(t *testing.T) float64 {
 		_, _, gen, buf := benchMachines(t)
 		gen.Fill(buf) // warm: builds the draw-limit table
@@ -219,6 +230,30 @@ func benchFuzzer(t *testing.T) (*sim.Fuzzer, sim.Spec, *sim.TrafficGen, sim.Fuzz
 	}
 	gen := sim.NewTrafficGen(1, pipe.PHVLen(), pipe.Bits(), bm.MaxInput)
 	return sim.NewFuzzer(pipe), sp, gen, sim.FuzzOptions{Containers: containers}
+}
+
+// benchDomino builds the compiled Domino spec of a Table-1 benchmark with
+// a local (flowlets), a generator and a PHV buffer for its pipeline.
+func benchDomino(t *testing.T) (*domino.PHVSpec, *sim.TrafficGen, []phv.Value) {
+	t.Helper()
+	bm, err := spec.Lookup("flowlets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := bm.Pipeline(core.Compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := bm.DominoProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := domino.NewPHVSpec(prog, bm.Fields, pipe.Bits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := sim.NewTrafficGen(1, pipe.PHVLen(), pipe.Bits(), bm.MaxInput)
+	return sp, gen, make([]phv.Value, pipe.PHVLen())
 }
 
 // benchMachines builds both dRMT slot engines and a generator over the
